@@ -15,12 +15,15 @@
 //
 // Emits BENCH_psim_scaling.json (perf trajectory; wall-clock derived, so
 // values depend on the machine — CI regenerates, bench/baselines/ keeps the
-// recorded history).
+// recorded history): per-shard throughput plus the set-up cost of the world
+// (setup_s, of which routing_build_s is RoutingTables::compute) and the
+// process's peak RSS (peak_rss_mb, VmHWM).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +37,17 @@
 using namespace sdmbox;
 
 namespace {
+
+/// Peak resident set size in MB (VmHWM from /proc/self/status); 0 when
+/// unavailable (non-Linux).
+double peak_rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
+  }
+  return 0;
+}
 
 struct Args {
   std::size_t edges = 10'000;
@@ -112,15 +126,18 @@ int main(int argc, char** argv) {
 
   // The waxman_scale world recipe, minus middleboxes the forwarding-only
   // sweep never visits: wide worlds get the /22 stub slices.
+  const auto setup_start = std::chrono::steady_clock::now();
   net::WaxmanParams wp;
   wp.seed = args.seed;
   wp.edge_count = args.edges;
   wp.subnet_prefix_len = args.edges + 2 < (1u << 12) ? 20 : 22;
   const net::GeneratedNetwork network = net::make_waxman_topology(wp);
+  const auto routing_start = std::chrono::steady_clock::now();
   const net::RoutingTables routing = net::RoutingTables::compute(network.topo);
+  const double routing_build_s = bench::seconds_since(routing_start);
   const net::AddressResolver resolver = net::AddressResolver::build(network.topo);
-  std::printf("psim_scaling: %zu edge routers, %zu nodes, %zu links\n", args.edges,
-              network.topo.node_count(), network.topo.link_count());
+  std::printf("psim_scaling: %zu edge routers, %zu nodes, %zu links, routing built in %.4fs\n",
+              args.edges, network.topo.node_count(), network.topo.link_count(), routing_build_s);
 
   // Policy-shaped flows from the streaming generator, flattened once into a
   // dense injection schedule (4 packets per flow, flows staggered 10 us
@@ -155,12 +172,15 @@ int main(int argc, char** argv) {
     }
     ++flow_index;
   }
-  std::printf("schedule: %zu packets from %llu flows\n", schedule.size(),
-              static_cast<unsigned long long>(flow_index));
+  const double setup_s = bench::seconds_since(setup_start);
+  std::printf("schedule: %zu packets from %llu flows; set-up %.2fs\n", schedule.size(),
+              static_cast<unsigned long long>(flow_index), setup_s);
 
   std::vector<bench::BenchMetric> metrics;
   metrics.push_back({"edges", static_cast<double>(args.edges)});
   metrics.push_back({"packets", static_cast<double>(schedule.size())});
+  metrics.push_back({"setup_s", setup_s});
+  metrics.push_back({"routing_build_s", routing_build_s});
   double pps1 = 0, pps4 = 0;
   std::uint64_t delivered1 = 0;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
@@ -192,6 +212,9 @@ int main(int argc, char** argv) {
     }
   }
   metrics.push_back({"speedup_1_to_4", pps1 > 0 ? pps4 / pps1 : 0});
+  const double rss_mb = peak_rss_mb();
+  metrics.push_back({"peak_rss_mb", rss_mb});
+  std::printf("peak RSS %.1f MB\n", rss_mb);
   bench::emit_bench_json("psim_scaling", metrics);
   return 0;
 }

@@ -60,15 +60,6 @@ ShortestPathTree dijkstra(const Topology& topo, NodeId source,
   return tree;
 }
 
-std::vector<ShortestPathTree> all_pairs_shortest_paths(const Topology& topo) {
-  std::vector<ShortestPathTree> out;
-  out.reserve(topo.node_count());
-  for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
-    out.push_back(dijkstra(topo, NodeId{i}));
-  }
-  return out;
-}
-
 std::vector<NodeId> k_closest(const ShortestPathTree& tree, const std::vector<NodeId>& candidates,
                               std::size_t k) {
   std::vector<NodeId> sorted;

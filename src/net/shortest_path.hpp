@@ -1,7 +1,8 @@
 // Dijkstra shortest paths over the topology.
 //
-// Used twice: (1) by the routing substrate to build per-router forwarding
-// tables — our stand-in for OSPF's link-state SPF computation — and (2) by
+// Used twice: (1) by the routing substrate to build the core routers'
+// forwarding tables — our stand-in for OSPF's link-state SPF computation —
+// and (2) by
 // the middlebox controller to find each node's closest middleboxes m_x^e and
 // candidate sets M_x^e (§III.B/C of the paper).
 //
@@ -41,9 +42,6 @@ struct ShortestPathTree {
 /// converged state after the routing protocol routes around a link failure.
 ShortestPathTree dijkstra(const Topology& topo, NodeId source,
                           const std::vector<bool>* down_links = nullptr);
-
-/// Shortest-path distance matrix for all nodes (row = source).
-std::vector<ShortestPathTree> all_pairs_shortest_paths(const Topology& topo);
 
 /// The k nodes from `candidates` closest to `from` (ties by NodeId), in
 /// increasing distance order. Unreachable candidates are skipped; fewer than k
