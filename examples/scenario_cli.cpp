@@ -29,8 +29,6 @@
 //                [--chaos-seed N]       # seed for `generated` (0 = master seed)
 //                [--epoch SECS]         # time-series sampling period (0.5)
 //                [--trace-sample RATE]  # flow sampling rate in [0,1] (1.0)
-//                [--shards N]           # partitioned parallel sim with N
-//                                       # region threads (1 = serial)
 //                [--reopt-period SECS]  # drift-triggered re-optimisation
 //                                       # loop epoch (0 = off); implies --sim
 //                [--reopt-threshold X]  # total-variation drift trigger (0.1)
@@ -102,7 +100,7 @@ void usage(const char* argv0, std::FILE* out) {
                "          [--sim] [--metrics-out FILE] [--trace-out FILE]\n"
                "          [--spans-out FILE]\n"
                "          [--verify] [--faults none|chaos|generated] [--chaos-seed N]\n"
-               "          [--epoch SECS] [--trace-sample RATE] [--shards N]\n"
+               "          [--epoch SECS] [--trace-sample RATE]\n"
                "          [--reopt-period SECS] [--reopt-threshold X]\n"
                "          [--reopt-cooldown N] [--reopt-min-reports N]\n"
                "          [--reopt-adaptive] [--reopt-noise-mult X] [--reopt-predictive]\n"
@@ -237,10 +235,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       const char* v = next();
       if (v == nullptr) return false;
       opt.spec.trace_sample = std::strtod(v, nullptr);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.shards = std::strtoull(v, nullptr, 10);
     } else if (arg == "--reopt-period") {
       const char* v = next();
       if (v == nullptr) return false;

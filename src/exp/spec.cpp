@@ -142,7 +142,6 @@ std::string ScenarioSpec::validate() const {
     return "waxman topology needs edge and core routers";
   if (!(epoch > 0) || !std::isfinite(epoch)) return "epoch must be a positive finite period";
   if (!(trace_sample >= 0 && trace_sample <= 1)) return "trace_sample must be in [0, 1]";
-  if (shards < 1 || shards > 64) return "shards must be in [1, 64]";
   if (!(wp_cache_hit_rate >= 0 && wp_cache_hit_rate <= 1))
     return "wp_cache_hit_rate must be in [0, 1]";
   if (!(reopt.epoch_period >= 0) || !std::isfinite(reopt.epoch_period))
@@ -180,7 +179,6 @@ std::string ScenarioSpec::to_text() const {
   out << "chaos_seed = " << chaos_seed << '\n';
   out << "epoch = " << fmt_double(epoch) << '\n';
   out << "trace_sample = " << fmt_double(trace_sample) << '\n';
-  out << "shards = " << shards << '\n';
   out << "verify = " << (verify ? "true" : "false") << '\n';
   out << "spans = " << (spans ? "true" : "false") << '\n';
   out << "reopt_period = " << fmt_double(reopt.epoch_period) << '\n';
@@ -273,7 +271,15 @@ SpecParseResult parse_text(const std::string& text, const ScenarioSpec& defaults
     } else if (key == "trace_sample") {
       ok = parse_double(value, s.trace_sample);
     } else if (key == "shards") {
-      ok = parse_size(value, s.shards);
+      // Input check only: every run is one serial calendar. Older spec files
+      // (and the end-to-end benchmark) still say `shards = 1`.
+      std::size_t shards = 0;
+      if (!parse_size(value, shards) || shards != 1) {
+        result.errors.push_back("line " + std::to_string(lineno) + ": `shards = " + value +
+                                "` is not supported: the partitioned engine was removed; "
+                                "only `shards = 1` is accepted");
+      }
+      continue;
     } else if (key == "verify") {
       ok = parse_bool(value, s.verify);
     } else if (key == "spans") {

@@ -90,12 +90,6 @@ struct ScenarioSpec {
   std::uint64_t chaos_seed = 0;
   double epoch = 0.5;         // EpochRecorder sampling period (simulated s)
   double trace_sample = 1.0;  // PathTracer flow sampling rate in [0, 1]
-  /// Region count for the partitioned parallel engine (psim::Engine). 1
-  /// runs the historical serial simulator bit-for-bit; >1 splits the
-  /// topology into that many regions, each on its own worker thread.
-  /// Exports stay byte-identical for a fixed (seed, shards); different
-  /// shard counts are different (each internally deterministic) schedules.
-  std::size_t shards = 1;
 
   // --- enforcement-invariant verification ---
   /// Attach the verify::InvariantOracle as a live trace observer and report

@@ -1,8 +1,9 @@
 // The exp subsystem's contracts: spec serialization round-trips exactly,
 // replicate seeds are a pure function of (base seed, task index), the sweep
 // runner returns results in task order whatever the thread count, replicate
-// aggregation matches hand-computed statistics, and — the headline — the
-// suite JSON is byte-identical for 1 worker and 8.
+// aggregation matches hand-computed statistics, a same-seed world exports
+// byte-identical metrics / trace / spans / verify reports, and — the
+// headline — the suite JSON is byte-identical for 1 worker and 8.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/world.hpp"
+#include "obs/export.hpp"
 #include "util/hash.hpp"
 
 namespace sdmbox::exp {
@@ -85,9 +87,11 @@ TEST(ScenarioSpec, ParseAppliesOverridesOnTopOfDefaults) {
       "\n"
       "packets = 777\n"
       "strategy = hp\n"
-      "faults = none\n";
+      "faults = none\n"
+      "shards = 1\n";  // accepted as an input check; not a field
   const auto parsed = parse_text(text);
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.spec.to_text().find("shards"), std::string::npos);
   EXPECT_EQ(parsed.spec.packets, 777u);
   EXPECT_EQ(parsed.spec.strategy, core::StrategyKind::kHotPotato);
   EXPECT_EQ(parsed.spec.faults, FaultScript::kNone);
@@ -117,6 +121,27 @@ TEST(ScenarioSpec, ParseRejectsOutOfDomainValues) {
   // Label switching piggybacks on flow-cache entries.
   EXPECT_FALSE(parse_text("flow_cache = false\n").ok());
   EXPECT_TRUE(parse_text("flow_cache = false\nlabel_switching = false\n").ok());
+}
+
+// `shards` is no longer a field: every run is serial. Spec files that still
+// say `shards = 1` parse to the same spec as without it; any other shard
+// count is a line-numbered error.
+TEST(SpecShards, RoundTripsAndValidates) {
+  ScenarioSpec s;
+  s.seed = 7;
+  const auto with_shard = parse_text(s.to_text() + "shards = 1\n");
+  ASSERT_TRUE(with_shard.ok());
+  EXPECT_EQ(with_shard.spec, s);
+  EXPECT_EQ(with_shard.spec.to_text().find("shards"), std::string::npos);
+
+  for (const char* text : {"seed = 1\nshards = 4\n", "seed = 1\nshards = 0\n",
+                           "seed = 1\nshards = 65\n", "seed = 1\nshards = two\n"}) {
+    const auto parsed = parse_text(text);
+    ASSERT_EQ(parsed.errors.size(), 1u) << text;
+    EXPECT_NE(parsed.errors[0].find("line 2"), std::string::npos) << parsed.errors[0];
+    EXPECT_NE(parsed.errors[0].find("partitioned engine was removed"), std::string::npos)
+        << parsed.errors[0];
+  }
 }
 
 TEST(ScenarioSpec, LpEngineKeyParsesAndRejects) {
@@ -274,6 +299,63 @@ TEST(BuildWorld, PrepareSimAndRunAreOneShot) {
   world->run();
   EXPECT_THROW(world->run(), ContractViolation);
   EXPECT_GT(world->simnet->counters().delivered, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// World determinism: same seed => byte-identical exports
+// ---------------------------------------------------------------------------
+
+struct RunArtifacts {
+  std::string metrics;
+  std::string trace;
+  std::string spans;
+  std::string verify;
+};
+
+/// Small verified world under a generated fault schedule: crashes, restarts
+/// and link flaps exercise replans, failover and label teardown.
+ScenarioSpec small_chaos_spec() {
+  ScenarioSpec s;
+  s.packets = 2000;
+  s.seed = 20190710;
+  s.faults = FaultScript::kGenerated;
+  s.verify = true;
+  s.trace_sample = 1.0;
+  return s;
+}
+
+RunArtifacts run_world(const ScenarioSpec& spec) {
+  auto world = build_world(spec);
+  world->prepare_sim();
+  world->run();
+  RunArtifacts a;
+  a.metrics = obs::to_json(world->registry, world->recorder.get());
+  a.trace = world->trace_json();
+  if (world->spans) a.spans = obs::spans_to_json(*world->spans);
+  if (world->oracle) a.verify = world->oracle->report().summary();
+  return a;
+}
+
+TEST(WorldDeterminism, FixedSeedIsByteIdentical) {
+  const RunArtifacts a = run_world(small_chaos_spec());
+  const RunArtifacts b = run_world(small_chaos_spec());
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.verify, b.verify);
+  EXPECT_NE(a.trace.find("\"flows\""), std::string::npos);
+  EXPECT_FALSE(a.spans.empty());
+}
+
+TEST(WorldDeterminism, OracleStaysCleanUnderGeneratedChaos) {
+  auto world = build_world(small_chaos_spec());
+  world->prepare_sim();
+  world->run();
+  ASSERT_NE(world->oracle, nullptr);
+  const verify::VerifyReport& r = world->oracle->report();
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_GT(r.packets_tracked, 0u);
+  EXPECT_TRUE(r.coverage_complete);  // the oracle observes the tracer live
 }
 
 // ---------------------------------------------------------------------------
