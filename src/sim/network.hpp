@@ -162,12 +162,6 @@ public:
   /// Run the event loop to completion (or until `until`).
   void run(SimTime until = Simulator::kForever) { sim_.run(until); }
 
-  /// Packets carry an injection timestamp for latency accounting; agents
-  /// must not alter it.
-  struct InFlightMeta {
-    SimTime injected_at = 0;
-  };
-
 private:
   void on_packet_event(PacketEvent ev) override;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace sdmbox::verify {
@@ -21,12 +22,40 @@ std::string fmt_time(double t) {
 
 /// Is `seq` a subsequence of `path`? Used below trace rate 1.0, where
 /// mid-chain switched records (rewritten 5-tuple) may be unsampled.
-bool subsequence_of(const std::vector<net::NodeId>& seq, const std::vector<net::NodeId>& path) {
+bool subsequence_of(std::span<const net::NodeId> seq, std::span<const net::NodeId> path) {
   std::size_t i = 0;
   for (const net::NodeId n : path) {
     if (i < seq.size() && seq[i] == n) ++i;
   }
   return i == seq.size();
+}
+
+bool same_but_dst(const packet::FlowId& a, const packet::FlowId& b) noexcept {
+  return a.src == b.src && a.src_port == b.src_port && a.dst_port == b.dst_port &&
+         a.protocol == b.protocol;
+}
+
+std::uint64_t flow_hash(const packet::FlowId& f) noexcept { return f.hash(0x5eedULL); }
+
+constexpr std::uint32_t kNoSlot = tables::FlatIndex::kNil;
+
+/// Pop a slot off a slab's free list (linked through `link`), or grow the
+/// slab by one.
+template <typename T>
+std::uint32_t take_slot(tables::StableSlab<T>& slab, std::uint32_t& free_head,
+                        std::uint32_t T::*link) {
+  const std::uint32_t slot = free_head;
+  if (slot == kNoSlot) return slab.push();
+  free_head = slab[slot].*link;
+  slab[slot].*link = kNoSlot;
+  return slot;
+}
+
+template <typename T>
+void give_back(tables::StableSlab<T>& slab, std::uint32_t& free_head, std::uint32_t T::*link,
+               std::uint32_t slot) noexcept {
+  slab[slot].*link = free_head;
+  free_head = slot;
 }
 
 }  // namespace
@@ -68,9 +97,12 @@ std::string VerifyReport::summary() const {
   return out;
 }
 
-std::size_t InvariantOracle::PacketKeyHash::operator()(const PacketKey& k) const noexcept {
-  return static_cast<std::size_t>(
-      util::mix64(k.flow.hash(0xa11a5ULL) ^ (k.seq * 0x9e3779b97f4a7c15ULL)));
+InvariantOracle::KeyHash InvariantOracle::key_hash(const packet::FlowId& flow,
+                                                   std::uint64_t seq) noexcept {
+  std::uint64_t h = util::hash_combine(util::mix64(seq ^ 0xa11a5ULL), flow.src.value());
+  h = util::hash_combine(h, (std::uint64_t{flow.src_port} << 32) |
+                                (std::uint64_t{flow.dst_port} << 8) | flow.protocol);
+  return KeyHash{h, util::hash_combine(h, flow.dst.value())};
 }
 
 InvariantOracle::InvariantOracle(const net::GeneratedNetwork& network,
@@ -88,8 +120,17 @@ InvariantOracle::InvariantOracle(const net::GeneratedNetwork& network,
   for (const net::NodeId p : network.proxies) {
     if (p.valid() && p.v < proxy_nodes_.size()) proxy_nodes_[p.v] = true;
   }
+  // The first deployment entry for a node wins.
+  std::vector<bool> seen;
   for (const core::MiddleboxInfo& m : deployment.middleboxes()) {
-    box_functions_.emplace(m.node.v, m.functions);
+    if (!m.node.valid()) continue;
+    if (m.node.v >= box_functions_.size()) {
+      box_functions_.resize(m.node.v + 1);
+      seen.resize(m.node.v + 1, false);
+    }
+    if (seen[m.node.v]) continue;
+    seen[m.node.v] = true;
+    box_functions_[m.node.v] = m.functions;
   }
 }
 
@@ -104,9 +145,8 @@ bool InvariantOracle::at_destination(net::NodeId n, const packet::FlowId& flow) 
   return terminal.has_value() && *terminal == n;
 }
 
-const policy::FunctionSet* InvariantOracle::box_functions(net::NodeId n) const {
-  const auto it = box_functions_.find(n.v);
-  return it == box_functions_.end() ? nullptr : &it->second;
+policy::FunctionSet InvariantOracle::box_functions(net::NodeId n) const noexcept {
+  return n.v < box_functions_.size() ? box_functions_[n.v] : policy::FunctionSet{};
 }
 
 std::string InvariantOracle::function_name(policy::FunctionId fn) const {
@@ -132,18 +172,87 @@ std::string InvariantOracle::describe_chain(const policy::Policy& pol) const {
 
 std::string InvariantOracle::hop_story(const PacketState& ps) const {
   std::string out;
-  for (std::size_t i = 0; i < ps.history.size(); ++i) {
-    const obs::TraceRecord& r = ps.history[i];
-    if (i) out += " -> ";
-    out += "t=" + fmt_time(r.at) + ' ' + obs::to_string(r.hop) + '@' + node_name(r.node);
-    if (r.detail != 0) out += "(detail=" + std::to_string(r.detail) + ')';
+  const auto tell = [&](const HistoryEntry& e) {
+    out += "t=" + fmt_time(e.at) + ' ' + obs::to_string(e.hop) + '@' + node_name(e.node);
+    if (e.detail != 0) out += "(detail=" + std::to_string(e.detail) + ')';
+  };
+  tell(ps.first);
+  std::uint32_t chunk = ps.history_head;
+  for (std::size_t i = 1; i < ps.history_len; ++i) {
+    const std::size_t at = (i - 1) % kHistoryChunk;
+    if (at == 0 && i > 1) chunk = history_[chunk].next;
+    out += " -> ";
+    tell(history_[chunk].entries[at]);
   }
-  if (ps.history.size() == kHistoryCap) out += " -> ... (history capped)";
+  if (ps.history_len == kHistoryCap) out += " -> ... (history capped)";
   return out;
 }
 
-InvariantOracle::FlowState& InvariantOracle::flow_state(const packet::FlowId& flow) {
-  return flows_[flow];
+void InvariantOracle::append_history(PacketState& ps, const obs::TraceRecord& r) {
+  // Entry 0 (the injection) is always present, inline.
+  const std::size_t at = (ps.history_len - 1) % kHistoryChunk;
+  if (at == 0) {
+    const std::uint32_t chunk = take_slot(history_, history_free_, &HistoryChunk::next);
+    if (ps.history_tail == kNil) {
+      ps.history_head = chunk;
+    } else {
+      history_[ps.history_tail].next = chunk;
+    }
+    ps.history_tail = chunk;
+  }
+  history_[ps.history_tail].entries[at] = HistoryEntry{r.at, r.detail, r.node, r.hop};
+  ++ps.history_len;
+}
+
+void InvariantOracle::release_history(PacketState& ps) noexcept {
+  if (ps.history_head != kNil) {
+    // Splice the packet's whole chunk list onto the free list.
+    history_[ps.history_tail].next = history_free_;
+    history_free_ = ps.history_head;
+  }
+  ps.history_head = ps.history_tail = kNil;
+  ps.history_len = 0;
+}
+
+void InvariantOracle::release_epoch(PacketState& ps) noexcept {
+  if (!ps.holds_epoch) return;
+  ps.holds_epoch = false;
+  FlowState& fs = flows_[ps.flow_slot];
+  if (--fs.switched_open == 0) prune_paths(fs);
+}
+
+void InvariantOracle::prune_paths(FlowState& fs) noexcept {
+  // Epochs ascend along the list; no open packet can ask for an old one.
+  while (fs.paths_head != kNil && paths_[fs.paths_head].epoch < fs.epoch) {
+    const std::uint32_t dead = fs.paths_head;
+    fs.paths_head = paths_[dead].next;
+    paths_[dead].boxes.clear();
+    give_back(paths_, path_free_, &EstablishedPath::next, dead);
+  }
+  if (fs.paths_head == kNil) fs.paths_tail = kNil;
+}
+
+InvariantOracle::FlowState& InvariantOracle::flow_state(PacketState& ps) {
+  if (ps.flow_slot == kNil) {
+    const std::uint64_t hash = flow_hash(ps.flow);
+    std::uint32_t slot =
+        flow_index_.find(hash, [&](std::uint32_t i) { return flows_[i].flow == ps.flow; });
+    if (slot == kNil) {
+      slot = flows_.push();
+      flows_[slot].flow = ps.flow;
+      flow_index_.insert(hash, slot);
+    }
+    ps.flow_slot = slot;
+  }
+  return flows_[ps.flow_slot];
+}
+
+const policy::Policy* InvariantOracle::ground_truth(FlowState& fs) {
+  if (!fs.truth_known) {
+    fs.truth = policies_->first_match(fs.flow);
+    fs.truth_known = true;
+  }
+  return fs.truth;
 }
 
 const policy::Policy* InvariantOracle::committed_policy(const FlowState& fs) const {
@@ -151,17 +260,96 @@ const policy::Policy* InvariantOracle::committed_policy(const FlowState& fs) con
   return &policies_->at(fs.policy);
 }
 
-InvariantOracle::PacketState* InvariantOracle::find_packet(const obs::TraceRecord& r) {
-  const PacketKey exact{r.flow, r.seq};
-  if (const auto it = packets_.find(exact); it != packets_.end()) return &it->second;
+std::uint32_t InvariantOracle::lookup(const packet::FlowId& flow, std::uint64_t seq,
+                                      std::uint64_t hash) const noexcept {
+  return packet_index_.find(hash, [&](std::uint32_t id) {
+    if (id & kWaiting) {
+      const WaitingPacket& w = waiting_[id & ~kWaiting];
+      return w.seq == seq && w.flow == flow;
+    }
+    return packets_[id].seq == seq && packets_[id].flow == flow;
+  });
+}
+
+std::uint32_t InvariantOracle::alias_slot(const packet::FlowId& flow, std::uint64_t seq,
+                                          std::uint64_t alias_hash) const noexcept {
+  return alias_index_.find(alias_hash, [&](std::uint32_t i) {
+    return aliases_[i].seq == seq && same_but_dst(aliases_[i].target, flow);
+  });
+}
+
+std::uint32_t InvariantOracle::resolve(const packet::FlowId& flow, std::uint64_t seq,
+                                       std::uint64_t hash) {
+  const std::uint32_t id = lookup(flow, seq, hash);
+  if (id == kNil || !(id & kWaiting)) return id;
+  // The packet's first hop since injection: give it full state.
+  const std::uint32_t w = id & ~kWaiting;
+  const std::uint32_t slot = take_slot(packets_, packet_free_, &PacketState::next_free);
+  PacketState& ps = packets_[slot];
+  ps.flow = flow;
+  ps.seq = seq;
+  ps.hash = hash;
+  ps.live = true;
+  ps.first = waiting_[w].injected;
+  ps.history_len = 1;
+  packet_index_.erase(hash, id);
+  packet_index_.insert(hash, slot);
+  waiting_[w].live = false;
+  give_back(waiting_, waiting_free_, &WaitingPacket::next_free, w);
+  return slot;
+}
+
+std::uint32_t InvariantOracle::find_packet(const obs::TraceRecord& r, const KeyHash& kh) {
+  const std::uint32_t slot = resolve(r.flow, r.seq, kh.exact);
+  if (slot != kNil) return slot;
   // Mid-chain switched records carry a rewritten destination: resolve via the
-  // destination-agnostic alias registered at kLabelSwitchTx.
-  PacketKey alias = exact;
-  alias.flow.dst = net::IpAddress{};
-  if (const auto ait = aliases_.find(alias); ait != aliases_.end()) {
-    if (const auto it = packets_.find(ait->second); it != packets_.end()) return &it->second;
+  // destination-agnostic alias registered at kLabelSwitchTx. The alias names
+  // a packet key, not a slot: whichever packet holds that key now.
+  const std::uint32_t a = alias_slot(r.flow, r.seq, kh.alias);
+  if (a == kNil) return kNil;
+  return resolve(aliases_[a].target, aliases_[a].seq, aliases_[a].target_hash);
+}
+
+void InvariantOracle::open_packet(const obs::TraceRecord& r, const KeyHash& kh) {
+  const HistoryEntry injected{r.at, r.detail, r.node, r.hop};
+  const std::uint32_t id = lookup(r.flow, r.seq, kh.exact);
+  if (id != kNil) {
+    // Same (flow, seq) injected twice: the old packet's fate is unknowable.
+    // The key starts over as a waiting packet (any stale alias naming it
+    // still resolves to it).
+    ++report_.packets_in_flight;
+    if (id & kWaiting) {
+      waiting_[id & ~kWaiting].injected = injected;
+      return;
+    }
+    retire(id);
   }
-  return nullptr;
+  const std::uint32_t w = take_slot(waiting_, waiting_free_, &WaitingPacket::next_free);
+  SDM_CHECK(w < kWaiting);
+  waiting_[w] = WaitingPacket{r.flow, r.seq, injected, kNil, true};
+  packet_index_.insert(kh.exact, w | kWaiting);
+}
+
+void InvariantOracle::register_alias(PacketState& ps, std::uint64_t alias_hash) {
+  const std::uint32_t a = alias_slot(ps.flow, ps.seq, alias_hash);
+  if (a == kNil) {
+    const std::uint32_t slot = take_slot(aliases_, alias_free_, &Alias::next_free);
+    aliases_[slot] = Alias{ps.flow, ps.seq, ps.hash, kNil};
+    alias_index_.insert(alias_hash, slot);
+    ps.has_alias = true;
+    return;
+  }
+  const Alias& existing = aliases_[a];
+  if (existing.target == ps.flow) {
+    ps.has_alias = true;  // a stale alias for this very key: adopt it
+    return;
+  }
+  // Two in-flight switched packets share everything but the destination:
+  // neither can be attributed mid-chain. Flag both — counted, never
+  // silently excused.
+  const std::uint32_t other = resolve(existing.target, existing.seq, existing.target_hash);
+  if (other != kNil) packets_[other].unverified = true;
+  ps.unverified = true;
 }
 
 void InvariantOracle::violation(ViolationKind kind, const PacketState& ps, double at,
@@ -169,11 +357,11 @@ void InvariantOracle::violation(ViolationKind kind, const PacketState& ps, doubl
   ++violation_counts_[static_cast<std::size_t>(kind)];
   Violation v;
   v.kind = kind;
-  v.flow = ps.key.flow;
-  v.seq = ps.key.seq;
+  v.flow = ps.flow;
+  v.seq = ps.seq;
   v.at = at;
-  v.narrative = std::string("[") + to_string(kind) + "] flow " + ps.key.flow.to_string() +
-                " seq " + std::to_string(ps.key.seq) + ": " + cause + "; hops: " + hop_story(ps);
+  v.narrative = std::string("[") + to_string(kind) + "] flow " + ps.flow.to_string() +
+                " seq " + std::to_string(ps.seq) + ": " + cause + "; hops: " + hop_story(ps);
   report_.violations.push_back(std::move(v));
 }
 
@@ -182,12 +370,15 @@ void InvariantOracle::handle_teardown(const obs::TraceRecord& r) {
   // Only proxy-side teardown records carry true 5-tuples (the middlebox-side
   // ones are synthesized from the label key, which lost the full tuple).
   if (!is_proxy(r.node)) return;
-  const auto it = flows_.find(r.flow);
-  if (it == flows_.end()) return;
-  FlowState& fs = it->second;
+  const std::uint32_t slot =
+      flow_index_.find(flow_hash(r.flow), [&](std::uint32_t i) {
+        return flows_[i].flow == r.flow;
+      });
+  if (slot == kNil) return;
+  FlowState& fs = flows_[slot];
   ++fs.epoch;
   fs.torn_at = r.at;
-  if (fs.established.size() <= fs.epoch) fs.established.resize(fs.epoch + 1);
+  if (fs.switched_open == 0) prune_paths(fs);
 }
 
 void InvariantOracle::handle_classified(const obs::TraceRecord& r, FlowState& fs) {
@@ -214,8 +405,7 @@ void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps
   ps.applied.push_back(fn);
 
   // Invariant 1a: functions are applied by deployed implementers only.
-  const policy::FunctionSet* fns = box_functions(r.node);
-  if (fns == nullptr || !fns->contains(fn)) {
+  if (!box_functions(r.node).contains(fn)) {
     if (!ps.violated) {
       violation(ViolationKind::kUnexpectedFunction, ps, r.at,
                 "function " + function_name(fn) + " applied at " + node_name(r.node) +
@@ -228,7 +418,7 @@ void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps
 
   // Invariant 1b: policy order. Checked against the datapath's committed
   // policy; the ground-truth cross-check happens at delivery.
-  FlowState& fs = flow_state(ps.key.flow);
+  FlowState& fs = flow_state(ps);
   const policy::Policy* pol = committed_policy(fs);
   if (pol == nullptr || ps.violated) return;
   if (ps.visited < pol->actions.size() && pol->actions[ps.visited] == fn) {
@@ -250,10 +440,10 @@ void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps
   ++report_.packets_violating;
 }
 
-void InvariantOracle::handle_chain_tail(const obs::TraceRecord& r, PacketState& ps) {
+void InvariantOracle::handle_chain_tail(PacketState& ps) {
   ps.chain_tail = true;
   if (ps.mode != Mode::kTunneled || ps.violated || ps.unverified) return;
-  FlowState& fs = flow_state(ps.key.flow);
+  FlowState& fs = flow_state(ps);
   const policy::Policy* pol = committed_policy(fs);
   if (pol == nullptr || ps.applied.size() != pol->actions.size() ||
       ps.visited != pol->actions.size()) {
@@ -262,21 +452,27 @@ void InvariantOracle::handle_chain_tail(const obs::TraceRecord& r, PacketState& 
   // A complete, in-order tunneled traversal: this box sequence is what the
   // flow's label path must reproduce (invariant 3). Several sequences per
   // epoch are legal — failover mid-establishment installs more than one.
-  if (fs.established.size() <= fs.epoch) fs.established.resize(fs.epoch + 1);
-  auto& paths = fs.established[fs.epoch];
-  if (std::find(paths.begin(), paths.end(), ps.boxes) == paths.end()) {
-    paths.push_back(ps.boxes);
+  const std::span<const net::NodeId> boxes = ps.boxes.view();
+  for (std::uint32_t i = fs.paths_head; i != kNil; i = paths_[i].next) {
+    if (paths_[i].epoch == fs.epoch && std::ranges::equal(paths_[i].boxes.view(), boxes)) return;
   }
-  (void)r;
+  const std::uint32_t slot = take_slot(paths_, path_free_, &EstablishedPath::next);
+  paths_[slot].epoch = fs.epoch;
+  paths_[slot].boxes.assign(boxes);
+  if (fs.paths_tail == kNil) {
+    fs.paths_head = slot;
+  } else {
+    paths_[fs.paths_tail].next = slot;
+  }
+  fs.paths_tail = slot;
 }
 
 void InvariantOracle::note_delivered_ok() {
   ++report_.packets_delivered_ok;
   if (spans_ == nullptr) return;
   // Attribute the delivery to the transient window it rode through, if any:
-  // a replan still rolling out is the concrete unenforced window the PR-6
-  // oracle merely tolerated; failing that, an open unenforced fault episode
-  // (crash detected but recovery not yet begun).
+  // a replan still rolling out; failing that, an open unenforced fault
+  // episode (crash detected but recovery not yet begun).
   obs::SpanId target = spans_->latest_open("replan");
   if (target == 0) {
     const obs::SpanId episode = spans_->latest_open("episode");
@@ -291,7 +487,7 @@ void InvariantOracle::note_delivered_ok() {
 }
 
 void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& ps) {
-  FlowState& fs = flow_state(ps.key.flow);
+  FlowState& fs = flow_state(ps);
   if (!fs.touched_proxy) {
     // Control/cross traffic that never crossed a policy proxy (controller
     // pushes, heartbeats, management flows): out of the oracle's scope.
@@ -301,7 +497,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
   // Policy traffic consumed somewhere other than its destination is an
   // anomaly sink (misdirected packets are swallowed, not forwarded):
   // accounted, and never a completed delivery.
-  if (!at_destination(r.node, ps.key.flow)) {
+  if (!at_destination(r.node, ps.flow)) {
     ps.anomaly = true;
     ++report_.packets_anomaly_sunk;
     return;
@@ -313,7 +509,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
 
   // Invariant 2 uses the oracle's own ground truth — the full policy list,
   // not any device's possibly-stale slice.
-  const policy::Policy* gt = policies_->first_match(ps.key.flow);
+  const policy::Policy* gt = ground_truth(fs);
   const policy::Policy* pol = committed_policy(fs);
   if (pol != nullptr && gt != nullptr && pol->id != gt->id) ++report_.policy_conflicts;
 
@@ -327,7 +523,9 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
     }
     return;
   }
-  const policy::ActionList& required = gt != nullptr ? gt->actions : policy::ActionList{};
+  // Both arms lvalues: a prvalue arm would copy gt->actions per delivery.
+  static const policy::ActionList kNoActions;
+  const policy::ActionList& required = gt != nullptr ? gt->actions : kNoActions;
   if (required.empty()) {
     note_delivered_ok();
     return;
@@ -348,7 +546,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
       return;
     }
     case Mode::kTunneled: {
-      if (ps.applied == required) {
+      if (std::ranges::equal(ps.applied.view(), required)) {
         note_delivered_ok();
         return;
       }
@@ -382,10 +580,12 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
         ++report_.packets_violating;
         return;
       }
-      const auto* paths = ps.path_epoch < fs.established.size()
-                              ? &fs.established[ps.path_epoch]
-                              : nullptr;
-      if (paths == nullptr || paths->empty()) {
+      // The flow's paths established in the epoch this packet switched in.
+      bool any_path = false;
+      for (std::uint32_t i = fs.paths_head; i != kNil && !any_path; i = paths_[i].next) {
+        any_path = paths_[i].epoch == ps.path_epoch;
+      }
+      if (!any_path) {
         const bool after_teardown = ps.path_epoch > 0 && fs.torn_at >= 0;
         violation(after_teardown ? ViolationKind::kPostTeardownLabelUse
                                  : ViolationKind::kLabelPathDivergence,
@@ -400,27 +600,31 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
         ++report_.packets_violating;
         return;
       }
-      const bool matched =
-          complete_stream_
-              ? std::find(paths->begin(), paths->end(), ps.boxes) != paths->end()
-              : std::any_of(paths->begin(), paths->end(),
-                            [&](const std::vector<net::NodeId>& p) {
-                              return !p.empty() && !ps.boxes.empty() &&
-                                     p.back() == ps.boxes.back() &&
-                                     subsequence_of(ps.boxes, p);
-                            });
+      const std::span<const net::NodeId> boxes = ps.boxes.view();
+      bool matched = false;
+      for (std::uint32_t i = fs.paths_head; i != kNil && !matched; i = paths_[i].next) {
+        if (paths_[i].epoch != ps.path_epoch) continue;
+        const std::span<const net::NodeId> p = paths_[i].boxes.view();
+        matched = complete_stream_ ? std::ranges::equal(p, boxes)
+                                   : !p.empty() && !boxes.empty() && p.back() == boxes.back() &&
+                                         subsequence_of(boxes, p);
+      }
       if (!matched) {
         std::string observed;
-        for (std::size_t i = 0; i < ps.boxes.size(); ++i) {
+        for (std::size_t i = 0; i < boxes.size(); ++i) {
           if (i) observed += "->";
-          observed += node_name(ps.boxes[i]);
+          observed += node_name(boxes[i]);
         }
         std::string expect;
-        for (std::size_t i = 0; i < paths->size(); ++i) {
-          if (i) expect += " | ";
-          for (std::size_t j = 0; j < (*paths)[i].size(); ++j) {
+        bool first = true;
+        for (std::uint32_t i = fs.paths_head; i != kNil; i = paths_[i].next) {
+          if (paths_[i].epoch != ps.path_epoch) continue;
+          if (!first) expect += " | ";
+          first = false;
+          const std::span<const net::NodeId> p = paths_[i].boxes.view();
+          for (std::size_t j = 0; j < p.size(); ++j) {
             if (j) expect += "->";
-            expect += node_name((*paths)[i][j]);
+            expect += node_name(p[j]);
           }
         }
         violation(ViolationKind::kLabelPathDivergence, ps, r.at,
@@ -436,13 +640,25 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
   }
 }
 
-void InvariantOracle::finalize(PacketState& ps) {
+void InvariantOracle::finalize(std::uint32_t slot) {
+  PacketState& ps = packets_[slot];
   if (ps.has_alias) {
-    PacketKey alias = ps.key;
-    alias.flow.dst = net::IpAddress{};
-    aliases_.erase(alias);
+    const std::uint64_t alias_hash = key_hash(ps.flow, ps.seq).alias;
+    if (const std::uint32_t a = alias_slot(ps.flow, ps.seq, alias_hash); a != kNil) {
+      alias_index_.erase(alias_hash, a);
+      give_back(aliases_, alias_free_, &Alias::next_free, a);
+    }
   }
-  packets_.erase(ps.key);  // ps dangles after this line
+  retire(slot);
+}
+
+void InvariantOracle::retire(std::uint32_t slot) {
+  PacketState& ps = packets_[slot];
+  packet_index_.erase(ps.hash, slot);
+  release_epoch(ps);
+  release_history(ps);
+  ps = PacketState{};  // drops any spilled applied/boxes storage
+  give_back(packets_, packet_free_, &PacketState::next_free, slot);
 }
 
 void InvariantOracle::on_record(const obs::TraceRecord& r) {
@@ -454,40 +670,32 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
     handle_teardown(r);
     return;
   }
+  const KeyHash kh = key_hash(r.flow, r.seq);
   if (r.hop == Hop::kInjected) {
-    const PacketKey key{r.flow, r.seq};
-    auto [it, inserted] = packets_.try_emplace(key);
-    if (!inserted) {
-      // Same (flow, seq) injected twice: the old packet's fate is unknowable.
-      ++report_.packets_in_flight;
-      it->second = PacketState{};
-    }
+    open_packet(r, kh);
     ++report_.packets_tracked;
-    PacketState& ps = it->second;
-    ps.key = key;
-    ps.history.push_back(r);
     return;
   }
 
-  PacketState* psp = find_packet(r);
-  if (psp == nullptr) {
+  const std::uint32_t slot = find_packet(r, kh);
+  if (slot == kNil) {
     ++report_.untracked_records;
     return;
   }
-  PacketState& ps = *psp;
-  if (ps.history.size() < kHistoryCap) ps.history.push_back(r);
+  PacketState& ps = packets_[slot];
+  if (ps.history_len < kHistoryCap) append_history(ps, r);
 
   bool terminal = false;
   switch (r.hop) {
     case Hop::kClassified:
-      handle_classified(r, flow_state(ps.key.flow));
+      handle_classified(r, flow_state(ps));
       break;
     case Hop::kCacheHit:
     case Hop::kCacheMiss:
-      if (is_proxy(r.node)) flow_state(ps.key.flow).touched_proxy = true;
+      if (is_proxy(r.node)) flow_state(ps).touched_proxy = true;
       break;
     case Hop::kDenied: {
-      FlowState& fs = flow_state(ps.key.flow);
+      FlowState& fs = flow_state(ps);
       fs.touched_proxy = true;
       if (!fs.policy_known) {
         fs.policy = policy::PolicyId{static_cast<std::uint32_t>(r.detail)};
@@ -499,12 +707,12 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
       break;
     }
     case Hop::kPermitted:
-      flow_state(ps.key.flow).touched_proxy = true;
+      flow_state(ps).touched_proxy = true;
       if (ps.mode == Mode::kOpen) ps.mode = Mode::kPlain;
       break;
     case Hop::kTunnelEncap:
       if (is_proxy(r.node) && ps.mode == Mode::kOpen) {
-        FlowState& fs = flow_state(ps.key.flow);
+        FlowState& fs = flow_state(ps);
         fs.touched_proxy = true;
         if (!fs.policy_known && fs.has_candidate) {
           fs.policy = policy::PolicyId{static_cast<std::uint32_t>(fs.candidate)};
@@ -521,7 +729,7 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
       break;
     case Hop::kLabelSwitchTx:
       if (is_proxy(r.node) && ps.mode == Mode::kOpen) {
-        FlowState& fs = flow_state(ps.key.flow);
+        FlowState& fs = flow_state(ps);
         fs.touched_proxy = true;
         if (!fs.policy_known && fs.has_candidate) {
           fs.policy = policy::PolicyId{static_cast<std::uint32_t>(fs.candidate)};
@@ -530,28 +738,19 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
         ps.mode = Mode::kSwitched;
         ps.label = static_cast<std::uint16_t>(r.detail);
         ps.path_epoch = fs.epoch;
+        ps.holds_epoch = true;
+        ++fs.switched_open;
         // Register the destination-agnostic alias for mid-chain records.
-        PacketKey alias = ps.key;
-        alias.flow.dst = net::IpAddress{};
-        const auto [it, inserted] = aliases_.try_emplace(alias, ps.key);
-        if (!inserted && !(it->second == ps.key)) {
-          // Two in-flight switched packets share everything but the
-          // destination: neither can be attributed mid-chain. Flag both —
-          // counted, never silently excused.
-          if (const auto oit = packets_.find(it->second); oit != packets_.end()) {
-            oit->second.unverified = true;
-          }
-          ps.unverified = true;
-        } else {
-          ps.has_alias = true;
-        }
+        // The record matched ps exactly or through its alias, so it agrees
+        // with ps on everything the alias hash covers.
+        register_alias(ps, kh.alias);
       }
       break;
     case Hop::kLabelSwitchRx:
       if (ps.boxes.empty() || ps.boxes.back() != r.node) ps.boxes.push_back(r.node);
       break;
     case Hop::kChainTail:
-      handle_chain_tail(r, ps);
+      handle_chain_tail(ps);
       break;
     case Hop::kWpCacheResponse:
       // §III.F legal truncation: the chain's web proxy answered from cache.
@@ -581,7 +780,7 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
     case Hop::kLabelTeardown:
       break;  // handled above
   }
-  if (terminal) finalize(ps);
+  if (terminal) finalize(slot);
 }
 
 void InvariantOracle::replay(const obs::TraceSink& sink) {
@@ -609,7 +808,12 @@ const VerifyReport& InvariantOracle::finish() {
   // Open packets are unfinished business, not violations: their terminal
   // record never arrived (in flight at end of run, or silently consumed
   // after an anomaly). Counted so nothing is silently excused.
-  for (const auto& [key, ps] : packets_) {
+  for (std::uint32_t i = 0; i < waiting_.size(); ++i) {
+    if (waiting_[i].live) ++report_.packets_in_flight;
+  }
+  for (std::uint32_t i = 0; i < packets_.size(); ++i) {
+    const PacketState& ps = packets_[i];
+    if (!ps.live) continue;
     if (ps.anomaly) {
       ++report_.packets_dropped;
     } else {

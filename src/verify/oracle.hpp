@@ -35,12 +35,21 @@
 // same-seed runs produce identical reports, and attaching it never perturbs
 // the run (observers cannot mutate the tracer; metrics are registered only
 // in verify mode).
+//
+// Cost: a traced run opens every injected packet at once (all waves are
+// injected before the calendar runs), so state is flat and recycled. Open
+// packets, aliases, flows and established paths sit in slab slots found
+// through FlatIndex hashes; a packet not yet seen past its injection keeps
+// only its key and first entry; history lives in pooled chunks; a
+// finalized packet's slots go back to free lists. At steady state a record
+// costs one key hash and no heap operation (DESIGN.md §11, "Cost").
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/deployment.hpp"
@@ -52,6 +61,8 @@
 #include "obs/trace.hpp"
 #include "policy/function.hpp"
 #include "policy/policy.hpp"
+#include "tables/flat_index.hpp"
+#include "tables/slab.hpp"
 
 namespace sdmbox::verify {
 
@@ -153,15 +164,7 @@ public:
   void set_span_tracer(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
 private:
-  // ---- per-packet state ----
-  struct PacketKey {
-    packet::FlowId flow;
-    std::uint64_t seq = 0;
-    friend bool operator==(const PacketKey&, const PacketKey&) noexcept = default;
-  };
-  struct PacketKeyHash {
-    std::size_t operator()(const PacketKey& k) const noexcept;
-  };
+  static constexpr std::uint32_t kNil = tables::FlatIndex::kNil;
 
   enum class Mode : std::uint8_t {
     kOpen,      // injected, not yet classified into a path
@@ -171,41 +174,164 @@ private:
     kSwitched,  // label-switched chain traversal
   };
 
+  /// Up to N elements inline; a longer sequence (only pathological streams
+  /// produce one: chains are at most a few functions long) moves to the heap.
+  template <typename T, std::size_t N>
+  class SmallSeq {
+  public:
+    std::span<const T> view() const noexcept {
+      return heap_ ? std::span<const T>(*heap_) : std::span<const T>(inline_.data(), size_);
+    }
+    std::size_t size() const noexcept { return heap_ ? heap_->size() : size_; }
+    bool empty() const noexcept { return size() == 0; }
+    T back() const noexcept { return view().back(); }
+    void assign(std::span<const T> from) {
+      clear();
+      for (const T& v : from) push_back(v);
+    }
+    void clear() noexcept {
+      size_ = 0;
+      heap_.reset();
+    }
+    void push_back(T v) {
+      if (!heap_ && size_ < N) {
+        inline_[size_++] = v;
+        return;
+      }
+      if (!heap_) {
+        heap_ = std::make_unique<std::vector<T>>(inline_.begin(), inline_.begin() + size_);
+      }
+      heap_->push_back(v);
+    }
+
+  private:
+    std::array<T, N> inline_{};
+    std::uint8_t size_ = 0;
+    std::unique_ptr<std::vector<T>> heap_;
+  };
+
+  /// The parts of a TraceRecord a narrative prints.
+  struct HistoryEntry {
+    double at = 0;
+    std::uint64_t detail = 0;
+    net::NodeId node;
+    obs::Hop hop = obs::Hop::kInjected;
+  };
+  /// History beyond a packet's first entry lives in pooled fixed-size
+  /// chunks, linked per packet and recycled through a free list.
+  static constexpr std::uint32_t kHistoryChunk = 8;
+  struct HistoryChunk {
+    std::array<HistoryEntry, kHistoryChunk> entries;
+    std::uint32_t next = kNil;  // next chunk of the same packet, or free-list link
+  };
+
+  // ---- per-packet state: one slab slot per open (flow, seq) ----
+  /// A packet injected but not yet seen at any hop: its key and injection
+  /// entry only. Every wave is injected before the calendar runs, so most
+  /// open packets wait here, small; a packet's first later record moves it
+  /// into a PacketState.
+  struct WaitingPacket {
+    packet::FlowId flow;
+    std::uint64_t seq = 0;
+    HistoryEntry injected;
+    std::uint32_t next_free = kNil;  // free-list link while the slot is dead
+    bool live = false;
+  };
+
+  /// A packet that has taken at least one hop.
   struct PacketState {
-    PacketKey key;
+    packet::FlowId flow;
+    std::uint64_t seq = 0;
+    std::uint64_t hash = 0;          // key hash under which packet_index_ holds it
+    std::uint32_t flow_slot = kNil;  // FlowState slot, resolved on first use
+    std::uint32_t next_free = kNil;  // free-list link while the slot is dead
+    std::uint32_t visited = 0;       // chain functions confirmed in order
+    std::uint32_t path_epoch = 0;    // flow's teardown epoch at switch time
+    std::uint32_t history_head = kNil;  // chunks holding history entries 1..
+    std::uint32_t history_tail = kNil;
+    std::uint16_t label = 0;
+    std::uint8_t history_len = 0;    // capped at kHistoryCap
     Mode mode = Mode::kOpen;
+    bool live = false;
     bool chain_tail = false;
     bool violated = false;
     bool anomaly = false;
     bool unverified = false;  // alias collision: identity ambiguous
-    std::uint32_t visited = 0;        // chain functions confirmed in order
-    std::uint32_t path_epoch = 0;     // flow's teardown epoch at switch time
-    std::uint16_t label = 0;
     bool has_alias = false;
-    std::vector<policy::FunctionId> applied;  // functions applied, in order
-    std::vector<net::NodeId> boxes;   // distinct consecutive middlebox visits
-    std::vector<obs::TraceRecord> history;  // capped; fuels narratives
+    bool holds_epoch = false;  // counted in its flow's switched_open
+    HistoryEntry first;                         // history entry 0 (the injection)
+    SmallSeq<policy::FunctionId, 7> applied;    // functions applied, in order
+    SmallSeq<net::NodeId, 4> boxes;             // distinct consecutive middlebox visits
   };
 
-  // ---- per-flow state ----
+  // ---- per-flow state: slots are never freed ----
   struct FlowState {
+    packet::FlowId flow;
     policy::PolicyId policy;      // committed matched policy
     bool policy_known = false;
     bool touched_proxy = false;   // flow crossed a policy proxy (in scope)
-    std::uint64_t candidate = 0;  // last proxy kClassified detail, pre-commit
     bool has_candidate = false;
+    bool truth_known = false;
+    std::uint64_t candidate = 0;  // last proxy kClassified detail, pre-commit
     std::uint32_t epoch = 0;      // bumped on label teardown
     double torn_at = -1;          // last teardown time; < 0 = never
-    /// Box sequences completed by tunneled packets, indexed by epoch. A set
-    /// per epoch: failover during establishment can legally install several.
-    std::vector<std::vector<std::vector<net::NodeId>>> established;
-  };
-  struct FlowHash {
-    std::size_t operator()(const packet::FlowId& f) const noexcept { return f.hash(0x5eedULL); }
+    const policy::Policy* truth = nullptr;  // first_match over the full list, cached
+    /// Box sequences completed by tunneled packets (EstablishedPath list,
+    /// epochs ascending). Several per epoch are legal: failover during
+    /// establishment can install more than one.
+    std::uint32_t paths_head = kNil;
+    std::uint32_t paths_tail = kNil;
+    /// Open label-switched packets, each pinned to the epoch it switched
+    /// in. While none is open, paths of epochs before `epoch` are
+    /// unreachable and are recycled.
+    std::uint32_t switched_open = 0;
   };
 
-  PacketState* find_packet(const obs::TraceRecord& r);
-  FlowState& flow_state(const packet::FlowId& flow);
+  struct EstablishedPath {
+    std::uint32_t epoch = 0;
+    std::uint32_t next = kNil;  // next path of the same flow, or free-list link
+    SmallSeq<net::NodeId, 4> boxes;
+  };
+
+  /// Mid-chain switched records carry a rewritten destination; an alias —
+  /// keyed on everything BUT the destination, plus seq — maps them back to
+  /// the packet key it was registered for.
+  struct Alias {
+    packet::FlowId target;          // the registering packet's flow (dst included)
+    std::uint64_t seq = 0;
+    std::uint64_t target_hash = 0;  // the registering packet's key hash
+    std::uint32_t next_free = kNil;
+  };
+
+  /// A record's alias hash (destination excluded) and full key hash, derived
+  /// from it — one hash computation per record serves both lookups.
+  struct KeyHash {
+    std::uint64_t alias;
+    std::uint64_t exact;
+  };
+  static KeyHash key_hash(const packet::FlowId& flow, std::uint64_t seq) noexcept;
+
+  /// packet_index_ entry for the key: a PacketState slot, or a
+  /// WaitingPacket slot tagged with kWaiting; kNil when no packet is open.
+  static constexpr std::uint32_t kWaiting = 0x80000000u;
+  std::uint32_t lookup(const packet::FlowId& flow, std::uint64_t seq,
+                       std::uint64_t hash) const noexcept;
+  std::uint32_t alias_slot(const packet::FlowId& flow, std::uint64_t seq,
+                           std::uint64_t alias_hash) const noexcept;
+  /// PacketState slot of the open packet with this key (`hash` its key
+  /// hash), moving a waiting packet into one; kNil when none is open.
+  std::uint32_t resolve(const packet::FlowId& flow, std::uint64_t seq, std::uint64_t hash);
+  std::uint32_t find_packet(const obs::TraceRecord& r, const KeyHash& kh);
+  void open_packet(const obs::TraceRecord& r, const KeyHash& kh);
+  void retire(std::uint32_t slot);  // free a PacketState slot and everything it holds
+  void register_alias(PacketState& ps, std::uint64_t alias_hash);
+  FlowState& flow_state(PacketState& ps);
+  const policy::Policy* ground_truth(FlowState& fs);
+  void append_history(PacketState& ps, const obs::TraceRecord& r);
+  void release_history(PacketState& ps) noexcept;
+  /// Drop ps's pin on its flow's switch epoch (finalize / re-injection).
+  void release_epoch(PacketState& ps) noexcept;
+  void prune_paths(FlowState& fs) noexcept;
   /// Count a clean delivery, attributing it to any open replan/unenforced
   /// episode span.
   void note_delivered_ok();
@@ -214,9 +340,9 @@ private:
   void handle_classified(const obs::TraceRecord& r, FlowState& fs);
   void handle_teardown(const obs::TraceRecord& r);
   void handle_function(const obs::TraceRecord& r, PacketState& ps);
-  void handle_chain_tail(const obs::TraceRecord& r, PacketState& ps);
+  void handle_chain_tail(PacketState& ps);
   void handle_delivered(const obs::TraceRecord& r, PacketState& ps);
-  void finalize(PacketState& ps);  // remove from open maps after terminal hop
+  void finalize(std::uint32_t slot);  // release the packet after its terminal hop
 
   void violation(ViolationKind kind, const PacketState& ps, double at,
                  const std::string& cause);
@@ -227,7 +353,7 @@ private:
 
   bool is_proxy(net::NodeId n) const noexcept;
   bool at_destination(net::NodeId n, const packet::FlowId& flow) const;
-  const policy::FunctionSet* box_functions(net::NodeId n) const;
+  policy::FunctionSet box_functions(net::NodeId n) const noexcept;
 
   const net::Topology* topo_;
   const core::Deployment* deployment_;
@@ -239,20 +365,29 @@ private:
   /// addresses without device nodes, so their delivery point is the
   /// destination subnet's terminal, not a node owning the exact address.
   net::AddressResolver resolver_;
-  std::vector<bool> proxy_nodes_;                       // indexed by NodeId.v
-  std::unordered_map<std::uint32_t, policy::FunctionSet> box_functions_;
+  std::vector<bool> proxy_nodes_;                  // indexed by NodeId.v
+  std::vector<policy::FunctionSet> box_functions_; // indexed by NodeId.v; empty = no box
 
   bool complete_stream_ = true;
   bool finished_ = false;
   obs::SpanTracer* spans_ = nullptr;
 
-  std::unordered_map<packet::FlowId, FlowState, FlowHash> flows_;
-  std::unordered_map<PacketKey, PacketState, PacketKeyHash> packets_;
-  /// Mid-chain switched records carry a rewritten destination; this alias —
-  /// keyed on everything BUT the destination — maps them back to the packet.
+  tables::StableSlab<WaitingPacket> waiting_;
+  std::uint32_t waiting_free_ = kNil;
+  tables::StableSlab<PacketState> packets_;
+  std::uint32_t packet_free_ = kNil;
+  tables::FlatIndex packet_index_;  // both tiers: one probe decides "is it open"
+  tables::StableSlab<HistoryChunk> history_;
+  std::uint32_t history_free_ = kNil;
+  tables::StableSlab<FlowState> flows_;
+  tables::FlatIndex flow_index_;
+  tables::StableSlab<EstablishedPath> paths_;
+  std::uint32_t path_free_ = kNil;
   /// Registered at kLabelSwitchTx, dropped at finalize. A colliding alias
   /// marks both packets unverified (counted, never silently excused).
-  std::unordered_map<PacketKey, PacketKey, PacketKeyHash> aliases_;
+  tables::StableSlab<Alias> aliases_;
+  tables::FlatIndex alias_index_;
+  std::uint32_t alias_free_ = kNil;
 
   VerifyReport report_;
   std::array<std::uint64_t, kViolationKindCount> violation_counts_{};

@@ -30,6 +30,7 @@ namespace {
 using sdmbox::testing::Scenario;
 using sdmbox::testing::ScenarioParams;
 using sdmbox::testing::make_scenario;
+using obs::Hop;
 using verify::InvariantOracle;
 using verify::ViolationKind;
 
@@ -332,6 +333,146 @@ TEST(Oracle, ReplayOverWrappedRingReportsIncompleteCoverage) {
   EXPECT_FALSE(r.coverage_complete);
   EXPECT_FALSE(r.ok()) << "a wrapped ring must never false-pass";
   EXPECT_NE(r.coverage_note.find("shed"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Per-packet state lifecycle: history cap, slot reuse, duplicate injection,
+// stale aliases. The oracle recycles packet state, so each of these pins a
+// behaviour recycling must not change.
+// ---------------------------------------------------------------------------
+
+/// The "hops: ..." tail of a narrative, split on its " -> " separators.
+std::vector<std::string> narrative_hops(const std::string& narrative) {
+  const std::string marker = "; hops: ";
+  const std::size_t at = narrative.find(marker);
+  std::vector<std::string> hops;
+  if (at == std::string::npos) return hops;
+  std::string rest = narrative.substr(at + marker.size());
+  for (std::size_t sep; (sep = rest.find(" -> ")) != std::string::npos;) {
+    hops.push_back(rest.substr(0, sep));
+    rest = rest.substr(sep + 4);
+  }
+  hops.push_back(rest);
+  return hops;
+}
+
+/// rig.flow as a mid-chain switched record carries it: destination
+/// rewritten toward a middlebox.
+packet::FlowId rewritten(const OracleRig& rig, net::NodeId box) {
+  packet::FlowId f = rig.flow;
+  f.dst = rig.s.network.topo.node(box).address;
+  return f;
+}
+
+TEST(OracleLifecycle, HistoryCapsAtNinetySixHops) {
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.0, rig.proxy));
+  o.on_record(rec(Hop::kClassified, rig.flow, 1.01, rig.proxy, rig.pol->id.v));
+  o.on_record(rec(Hop::kTunnelEncap, rig.flow, 1.02, rig.proxy, rig.boxes[0].v));
+  for (std::uint64_t i = 1; i <= 110; ++i) {
+    o.on_record(rec(Hop::kFailoverReroute, rig.flow, 1.03, rig.boxes[0], i));
+  }
+  // Delivered with no function applied: a violation whose narrative tells
+  // the (capped) history.
+  o.on_record(rec(Hop::kDelivered, rig.flow, 1.2, rig.dst_terminal));
+  const auto& r = o.finish();
+  ASSERT_EQ(r.violations.size(), 1u) << r.summary();
+  const std::vector<std::string> hops = narrative_hops(r.violations[0].narrative);
+  ASSERT_EQ(hops.size(), 97u);  // 96 recorded hops + the cap marker
+  EXPECT_EQ(hops.back(), "... (history capped)");
+  EXPECT_EQ(hops.front().rfind("t=1 injected@", 0), 0u) << hops.front();
+  // Entries 4..96 are the first 93 reroutes; later records were not kept.
+  EXPECT_NE(hops[95].find("(detail=93)"), std::string::npos) << hops[95];
+  EXPECT_EQ(r.violations[0].narrative.find("(detail=94)"), std::string::npos);
+  EXPECT_EQ(r.violations[0].narrative.find("delivered@"), std::string::npos);
+}
+
+TEST(OracleLifecycle, RecycledStateInheritsNothing) {
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  const packet::FlowId mid = rewritten(rig, rig.boxes[0]);
+  // seq 1 switches (registering its alias), has a function applied and a
+  // box visited mid-chain, then is lost: its state is released.
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.0, rig.proxy));
+  o.on_record(rec(Hop::kClassified, rig.flow, 1.01, rig.proxy, rig.pol->id.v));
+  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 1.02, rig.proxy, 77));
+  o.on_record(rec(Hop::kFunctionApplied, mid, 1.03, rig.boxes[0], rig.pol->actions[0].v));
+  o.on_record(rec(Hop::kLabelSwitchRx, mid, 1.04, rig.boxes[0], 77));
+  o.on_record(rec(Hop::kDropLinkDown, mid, 1.05, rig.boxes[0]));
+  // The same key again takes the released state. The old alias must be
+  // gone (this mid-chain record matches nothing)...
+  o.on_record(rec(Hop::kInjected, rig.flow, 2.0, rig.proxy));
+  o.on_record(rec(Hop::kLabelSwitchRx, mid, 2.01, rig.boxes[0], 77));
+  // ...and the old history too: this delivery without a chain is a
+  // violation whose narrative has exactly its own four hops.
+  o.on_record(rec(Hop::kClassified, rig.flow, 2.02, rig.proxy, rig.pol->id.v));
+  o.on_record(rec(Hop::kPermitted, rig.flow, 2.03, rig.proxy));
+  o.on_record(rec(Hop::kDelivered, rig.flow, 2.04, rig.dst_terminal));
+  // Fresh applied list and visit count: a clean traversal delivers ok...
+  feed_clean_tunneled(rig, 2, 3.0);
+  // ...and fresh boxes: the path it established is exactly the chain, so a
+  // switched packet along the chain's boxes matches it.
+  o.on_record(rec(Hop::kInjected, rig.flow, 4.0, rig.proxy, 0, 3));
+  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 4.01, rig.proxy, 9, 3));
+  for (const net::NodeId box : rig.boxes) {
+    o.on_record(rec(Hop::kLabelSwitchRx, rig.flow, 4.02, box, 9, 3));
+  }
+  o.on_record(rec(Hop::kChainTail, rig.flow, 4.03, rig.boxes.back(), 0, 3));
+  o.on_record(rec(Hop::kDelivered, rig.flow, 4.04, rig.dst_terminal, 0, 3));
+  const auto& r = o.finish();
+  EXPECT_EQ(r.untracked_records, 1u);
+  EXPECT_EQ(r.packets_dropped, 1u);
+  EXPECT_EQ(r.packets_delivered_ok, 2u) << r.summary();
+  ASSERT_EQ(r.violations.size(), 1u) << r.summary();
+  EXPECT_EQ(r.violations[0].kind, ViolationKind::kDeliveredWithoutChain);
+  const std::vector<std::string> hops = narrative_hops(r.violations[0].narrative);
+  ASSERT_EQ(hops.size(), 4u) << r.violations[0].narrative;
+  EXPECT_EQ(hops[0].rfind("t=2 injected@", 0), 0u) << hops[0];
+  EXPECT_EQ(hops[3].rfind("t=2.04 delivered@", 0), 0u) << hops[3];
+}
+
+TEST(OracleLifecycle, DuplicateInjectionResetsAndCountsInFlight) {
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  // seq 1 gets one function into its chain...
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.0, rig.proxy));
+  o.on_record(rec(Hop::kClassified, rig.flow, 1.01, rig.proxy, rig.pol->id.v));
+  o.on_record(rec(Hop::kTunnelEncap, rig.flow, 1.02, rig.proxy, rig.boxes[0].v));
+  o.on_record(rec(Hop::kFunctionApplied, rig.flow, 1.03, rig.boxes[0], rig.pol->actions[0].v));
+  // ...then is injected again and traverses the whole chain. Had the first
+  // attempt's applied function survived, the chain would read as reordered.
+  feed_clean_tunneled(rig, 1, 2.0);
+  const auto& r = o.finish();
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_EQ(r.packets_tracked, 2u);
+  EXPECT_EQ(r.packets_in_flight, 1u);  // the first attempt's fate is unknown
+  EXPECT_EQ(r.packets_delivered_ok, 1u);
+}
+
+TEST(OracleLifecycle, StaleAliasAfterDuplicateInjectionStillResolves) {
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  const packet::FlowId mid = rewritten(rig, rig.boxes[0]);
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.0, rig.proxy));
+  o.on_record(rec(Hop::kClassified, rig.flow, 1.01, rig.proxy, rig.pol->id.v));
+  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 1.02, rig.proxy, 77));
+  // Re-injected: the packet starts over, but the alias registered by the
+  // first attempt names the key, so it resolves to the new packet...
+  o.on_record(rec(Hop::kInjected, rig.flow, 2.0, rig.proxy));
+  o.on_record(rec(Hop::kDropLinkLoss, mid, 2.01, rig.boxes[0]));
+  // ...and, once that packet is gone, to nothing.
+  o.on_record(rec(Hop::kLabelSwitchRx, mid, 2.02, rig.boxes[0], 77));
+  const auto& r = o.finish();
+  EXPECT_TRUE(r.violations.empty()) << r.summary();
+  EXPECT_EQ(r.packets_tracked, 2u);
+  EXPECT_EQ(r.packets_in_flight, 1u);
+  EXPECT_EQ(r.packets_dropped, 1u);
+  EXPECT_EQ(r.untracked_records, 1u);
 }
 
 // ---------------------------------------------------------------------------
