@@ -4,7 +4,7 @@
 // Measures the three flow-table operations the per-packet path performs —
 // hit lookup, miss lookup, insert-with-eviction at capacity — plus the label
 // table's lookup, and records steady-state allocations per operation through
-// the counting operator-new hook. Entries are inserted with empty action
+// the counting operator-new hook; the bench exits 1 if any is non-zero. Entries are inserted with empty action
 // lists so the numbers isolate table cost from workload-payload copies.
 //
 // Throughputs are best-of-reps; allocation counts come from the last rep.
@@ -128,5 +128,14 @@ int main() {
                           {"flow_insert_evict_allocs_per_op", inserts.allocs_per_op},
                           {"label_lookup_hit_per_sec", labels.ops_per_sec},
                           {"label_lookup_hit_allocs_per_op", labels.allocs_per_op}});
-  return 0;
+  int status = 0;
+  for (const auto& [what, r] : {std::pair{"flow lookup (hit)", hits}, {"flow lookup (miss)", misses},
+                                {"flow insert (evict)", inserts}, {"label lookup (hit)", labels}}) {
+    if (r.allocs_per_op != 0) {
+      std::fprintf(stderr, "micro_flowtable: %s allocated (%.6f allocs/op)\n", what,
+                   r.allocs_per_op);
+      status = 1;
+    }
+  }
+  return status;
 }

@@ -9,7 +9,8 @@
 //  * packet hops: host-to-host packets through campus-topology pure
 //    forwarding (no agents) — the transmit/arrive scheduling path the
 //    enforcement plane rides on, with steady-state allocations per event
-//    recorded through the counting operator-new hook.
+//    recorded through the counting operator-new hook. They must be zero;
+//    the bench exits 1 if they are not.
 //
 // Throughputs are best-of-reps (the usual microbench convention: the fastest
 // rep is the least-disturbed one); allocation counts come from the last rep.
@@ -163,5 +164,10 @@ int main() {
                           {"packets_per_sec", hops.packets_per_sec},
                           {"allocs_per_event_steady", hops.allocs_per_event},
                           {"hop_events_total", hops.events}});
+  if (hops.allocs_per_event != 0) {
+    std::fprintf(stderr, "micro_simulator: steady-state forwarding allocated (%.6f allocs/event)\n",
+                 hops.allocs_per_event);
+    return 1;
+  }
   return 0;
 }

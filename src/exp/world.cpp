@@ -250,16 +250,17 @@ std::uint64_t World::trace_recorded() const { return tracer->sink().recorded(); 
 
 MetricsSnapshot World::snapshot() const {
   MetricsSnapshot out;
-  const auto samples = registry.collect();
-  out.reserve(samples.size());
-  for (const auto& s : samples) {
-    out.emplace_back(s.name + s.labels.render(), s.value);
+  out.reserve(registry.size());
+  registry.for_each_sorted([&](std::size_t id) {
+    const std::string& name = registry.name(id);
+    const std::string labels = registry.labels(id).render();
+    out.emplace_back(name + labels, registry.scalar(id));
     // Histograms flatten to count (above) AND sum, so suite aggregation can
     // average totals (e.g. conv_total_unenforced_window_sum) across seeds.
-    if (s.kind == obs::MetricKind::kHistogram) {
-      out.emplace_back(s.name + "_sum" + s.labels.render(), s.histogram.sum);
+    if (registry.kind(id) == obs::MetricKind::kHistogram) {
+      out.emplace_back(name + "_sum" + labels, registry.histogram_at(id).sum());
     }
-  }
+  });
   return out;
 }
 

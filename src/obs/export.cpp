@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -15,9 +16,9 @@ namespace sdmbox::obs {
 // doubles exactly and never depends on locale.
 std::string json_number(double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    char buf[24];  // to_chars prints exactly what %lld would, without printf's cost
+    const auto end = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v)).ptr;
+    return std::string(buf, end);
   }
   if (std::isnan(v)) return "null";  // JSON has no NaN; exporters agree on null
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
@@ -88,6 +89,34 @@ void append_histogram_json(std::string& out, const stats::HistogramSnapshot& h) 
   out += "}}";
 }
 
+/// `fn(id)` for every series `recorder` holds, in sorted (name, labels) order.
+template <typename Fn>
+void for_each_recorded(const EpochRecorder& recorder, Fn&& fn) {
+  const std::size_t width = recorder.width();
+  recorder.registry().for_each_sorted([&](std::size_t id) {
+    if (id < width) fn(id);
+  });
+}
+
+/// `<name><suffix><labels> <value>\n`
+void append_prom_line(std::string& out, const std::string& name, std::string_view suffix,
+                      const std::string& labels, const std::string& value) {
+  out += name;
+  out += suffix;
+  out += labels;
+  out += ' ';
+  out += value;
+  out += '\n';
+}
+
+/// Body of a double-quoted CSV cell: quotes doubled.
+void append_csv_quoted(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+}
+
 bool ends_with(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -96,27 +125,26 @@ bool ends_with(const std::string& s, std::string_view suffix) {
 }  // namespace
 
 std::string to_json(const MetricsRegistry& registry, const EpochRecorder* series) {
-  std::string out = "{\n  \"metrics\": [\n";
-  const auto samples = registry.collect();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const MetricSample& s = samples[i];
+  std::string out = "{\n  \"metrics\": [";
+  bool first = true;
+  registry.for_each_sorted([&](std::size_t id) {
+    out += first ? "\n" : ",\n";
+    first = false;
     out += "    {\"name\":\"";
-    out += json_escape(s.name);
+    out += json_escape(registry.name(id));
     out += "\",\"labels\":";
-    append_labels_json(out, s.labels);
+    append_labels_json(out, registry.labels(id));
     out += ",\"kind\":\"";
-    out += to_string(s.kind);
+    out += to_string(registry.kind(id));
     out += "\",\"value\":";
-    out += json_number(s.value);
-    if (s.kind == MetricKind::kHistogram) {
+    out += json_number(registry.scalar(id));
+    if (registry.kind(id) == MetricKind::kHistogram) {
       out += ",\"histogram\":";
-      append_histogram_json(out, s.histogram);
+      append_histogram_json(out, registry.histogram_at(id).snapshot());
     }
     out += '}';
-    if (i + 1 < samples.size()) out += ',';
-    out += '\n';
-  }
-  out += "  ]";
+  });
+  out += "\n  ]";
   if (series != nullptr) {
     out += ",\n  \"series\": {\n    \"period\": ";
     out += json_number(series->period());
@@ -126,24 +154,26 @@ std::string to_json(const MetricsRegistry& registry, const EpochRecorder* series
       if (i) out += ',';
       out += json_number(epochs[i]);
     }
-    out += "],\n    \"metrics\": [\n";
-    const auto all = series->series();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const auto& s = all[i];
+    out += "],\n    \"metrics\": [";
+    first = true;
+    const MetricsRegistry& recorded = series->registry();
+    std::vector<double> column(epochs.size());
+    for_each_recorded(*series, [&](std::size_t id) {
+      out += first ? "\n" : ",\n";
+      first = false;
       out += "      {\"name\":\"";
-      out += json_escape(s.name);
+      out += json_escape(recorded.name(id));
       out += "\",\"labels\":";
-      append_labels_json(out, s.labels);
+      append_labels_json(out, recorded.labels(id));
       out += ",\"values\":[";
-      for (std::size_t j = 0; j < s.values.size(); ++j) {
-        if (j) out += ',';
-        out += json_number(s.values[j]);
+      series->read_column(id, column.data());
+      for (std::size_t e = 0; e < column.size(); ++e) {
+        if (e) out += ',';
+        out += json_number(column[e]);
       }
       out += "]}";
-      if (i + 1 < all.size()) out += ',';
-      out += '\n';
-    }
-    out += "    ]\n  }";
+    });
+    out += "\n    ]\n  }";
   }
   out += "\n}\n";
   return out;
@@ -151,54 +181,75 @@ std::string to_json(const MetricsRegistry& registry, const EpochRecorder* series
 
 std::string to_prometheus(const MetricsRegistry& registry) {
   std::string out;
-  std::string last_name;
-  for (const MetricSample& s : registry.collect()) {
-    if (s.name != last_name) {
+  const std::string* last_name = nullptr;
+  registry.for_each_sorted([&](std::size_t id) {
+    const std::string& name = registry.name(id);
+    const MetricKind kind = registry.kind(id);
+    if (last_name == nullptr || name != *last_name) {
       out += "# TYPE ";
-      out += s.name;
+      out += name;
       out += ' ';
       // Histograms export as Prometheus summaries (count/sum/quantile).
-      out += s.kind == MetricKind::kHistogram ? "summary" : to_string(s.kind);
+      out += kind == MetricKind::kHistogram ? "summary" : to_string(kind);
       out += '\n';
-      last_name = s.name;
+      last_name = &name;
     }
-    if (s.kind == MetricKind::kHistogram) {
-      const auto& h = s.histogram;
-      out += s.name + "_count" + s.labels.render() + ' ' +
-             json_number(static_cast<double>(h.count)) + '\n';
-      out += s.name + "_sum" + s.labels.render() + ' ' + json_number(h.sum) + '\n';
-      for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
-        Labels with_q = s.labels;
-        with_q.set("quantile", json_number(h.quantiles[i]));
-        out += s.name + with_q.render() + ' ' + json_number(h.values[i]) + '\n';
-      }
-    } else {
-      out += s.name + s.labels.render() + ' ' + json_number(s.value) + '\n';
+    const std::string labels = registry.labels(id).render();
+    if (kind != MetricKind::kHistogram) {
+      append_prom_line(out, name, "", labels, json_number(registry.scalar(id)));
+      return;
     }
-  }
+    const stats::HistogramSnapshot h = registry.histogram_at(id).snapshot();
+    append_prom_line(out, name, "_count", labels, json_number(static_cast<double>(h.count)));
+    append_prom_line(out, name, "_sum", labels, json_number(h.sum));
+    // Each quantile line is the label set plus quantile="q" at its sorted
+    // key position (replacing a "quantile" label, as Labels::set would).
+    std::string head = "{";
+    std::string tail;
+    for (const auto& [k, v] : registry.labels(id).items()) {
+      if (k < "quantile") head += k + "=\"" + v + "\",";
+      if (k > "quantile") tail += "," + k + "=\"" + v + '"';
+    }
+    tail += '}';
+    for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
+      out += name;
+      out += head;
+      out += "quantile=\"";
+      out += json_number(h.quantiles[i]);
+      out += '"';
+      out += tail;
+      out += ' ';
+      out += json_number(h.values[i]);
+      out += '\n';
+    }
+  });
   return out;
 }
 
 std::string to_csv(const EpochRecorder& recorder) {
-  const auto all = recorder.series();
+  const MetricsRegistry& registry = recorder.registry();
+  std::vector<std::size_t> columns;
+  columns.reserve(recorder.width());
+  for_each_recorded(recorder, [&](std::size_t id) { columns.push_back(id); });
   std::string out = "epoch";
-  for (const auto& s : all) {
-    out += ',';
+  for (const std::size_t id : columns) {
     // Quote the column name: label renderings contain commas.
-    out += '"';
-    for (char c : s.name + s.labels.render()) {
-      if (c == '"') out += '"';  // CSV-style doubled quote
-      out += c;
-    }
+    out += ",\"";
+    append_csv_quoted(out, registry.name(id));
+    append_csv_quoted(out, registry.labels(id).render());
     out += '"';
   }
   out += '\n';
+  // Gather each row before formatting it, so the reads overlap (see
+  // EpochRecorder::read_column).
+  std::vector<double> row(columns.size());
   const auto& epochs = recorder.epochs();
-  for (std::size_t row = 0; row < epochs.size(); ++row) {
-    out += json_number(epochs[row]);
-    for (const auto& s : all) {
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    for (std::size_t c = 0; c < columns.size(); ++c) row[c] = recorder.at(e, columns[c]);
+    out += json_number(epochs[e]);
+    for (const double v : row) {
       out += ',';
-      out += json_number(s.values[row]);
+      out += json_number(v);
     }
     out += '\n';
   }

@@ -1,8 +1,9 @@
 // Exporters: the registry / recorder / tracer rendered as JSON, CSV, or
-// Prometheus-style text. All outputs iterate the deterministic collection
-// order and format numbers with a fixed printf recipe, so two runs with the
-// same seed produce byte-identical dumps — the property the reproducibility
-// tests pin.
+// Prometheus-style text. Registry and recorder outputs walk the sorted
+// (name, labels) order and read values in place (no collect()/series()
+// copies); every output formats numbers with one fixed recipe, so two runs
+// with the same seed produce byte-identical dumps — the property the
+// reproducibility tests pin.
 #pragma once
 
 #include <string>

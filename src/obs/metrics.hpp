@@ -11,19 +11,24 @@
 //    reference values that live INSIDE existing component counter structs
 //    (FlowTableStats, ProxyCounters, HealthCounters, ...). The structs stay
 //    the hot-path storage and keep their typed accessors; the registry reads
-//    through the pointer/closure only at collection time. Components must
-//    outlive every collect() call (registries are scoped to a run).
+//    through the pointer/closure only when sampled or exported. Components
+//    must outlive every read (registries are scoped to a run).
 //
-// Iteration order is deterministic: collect() returns samples sorted by
-// (name, labels), so dumps from identical runs are byte-identical — the
-// property every exporter and the epoch recorder inherit for free.
+// Layout: entries get dense ids in registration order. Each id has a
+// 16-byte scalar reader (counter pointer, gauge pointer or closure,
+// histogram count), so read_scalars() — what one epoch sample costs — is a
+// linear scan with no lookup, string or allocation. A key index (name +
+// '\0' + rendered labels) serves find()/value()/total(), and because it is
+// ordered it is also the deterministic (name, labels) order that
+// for_each_sorted() walks and every exporter inherits: dumps from identical
+// runs are byte-identical.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -98,14 +103,14 @@ public:
   stats::Histogram& histogram(std::string name, Labels labels = {});
 
   /// Views over externally-owned values. The pointee / closure must stay
-  /// valid for every subsequent collect(). Duplicate (name, labels)
-  /// registration is a contract violation — it would hide one source.
+  /// valid for every subsequent read. Duplicate (name, labels) registration
+  /// is a contract violation — it would hide one source.
   void expose_counter(std::string name, Labels labels, const std::uint64_t* value);
   void expose_gauge(std::string name, Labels labels, std::function<double()> fn);
   void expose_histogram(std::string name, Labels labels, const stats::Histogram* hist);
 
-  /// Every metric's current value, sorted by (name, labels) — the stable
-  /// order all exporters and the epoch recorder rely on.
+  /// Every metric's current value, sorted by (name, labels). A full copy —
+  /// hot consumers read by id instead.
   std::vector<MetricSample> collect() const;
 
   /// Scalar value of one metric (histograms report their count); nullopt
@@ -113,34 +118,100 @@ public:
   std::optional<double> value(std::string_view name, const Labels& labels = {}) const;
 
   /// Sum over every instrument named `name`, across all label sets (0 when
-  /// none exist). The registry-level analogue of "total over devices".
+  /// none exist), in label order. The registry-level analogue of "total
+  /// over devices".
   double total(std::string_view name) const;
 
-  std::size_t size() const noexcept { return entries_.size(); }
+  /// Number of registered metrics; ids are [0, size()) in registration order.
+  std::size_t size() const noexcept { return by_id_.size(); }
+
+  // --- By-id access -------------------------------------------------------
+
+  /// Id of (name, labels); nullopt when unregistered.
+  std::optional<std::size_t> find(std::string_view name, const Labels& labels = {}) const;
+
+  const std::string& name(std::size_t id) const { return by_id_[id]->name; }
+  const Labels& labels(std::size_t id) const { return by_id_[id]->labels; }
+  MetricKind kind(std::size_t id) const { return by_id_[id]->kind; }
+  /// Counter / gauge value, or a histogram's count.
+  double scalar(std::size_t id) const;
+  /// The histogram behind a kHistogram id.
+  const stats::Histogram& histogram_at(std::size_t id) const;
+
+  /// Write scalar(id) for every id to out[0, size()), in id order.
+  void read_scalars(double* out) const;
+
+  /// Call fn(id) for every metric in sorted (name, labels) order.
+  template <typename Fn>
+  void for_each_sorted(Fn&& fn) const {
+    for (const auto& [key, e] : index_) fn(std::size_t{e.id});
+  }
+
+  /// Call fn(id) for every metric named `name`, in label order.
+  template <typename Fn>
+  void for_each_named(std::string_view name, Fn&& fn) const {
+    const std::string prefix = name_prefix(name);
+    for (auto it = index_.lower_bound(prefix);
+         it != index_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it) {
+      fn(std::size_t{it->second.id});
+    }
+  }
 
 private:
+  // Cold half of an entry: identity, read by lookups and exporters.
   struct Entry {
     std::string name;
     Labels labels;
     MetricKind kind = MetricKind::kCounter;
-    // Owned storage (unique_ptr keeps addresses stable across map growth).
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<stats::Histogram> hist;
-    // Views.
-    const std::uint64_t* counter_view = nullptr;
-    std::function<double()> gauge_view;
-    const stats::Histogram* hist_view = nullptr;
-
-    double scalar() const;
+    void* owned = nullptr;  // the Counter / Gauge / Histogram (by kind); null for views
+    std::uint32_t id = 0;
   };
 
-  static std::string key_of(std::string_view name, const Labels& labels);
-  Entry& emplace(std::string name, Labels labels, MetricKind kind);
+  // Hot half, indexed by id: what a sample reads.
+  struct Reader {
+    enum class Source : std::uint8_t { kCounter, kGauge, kClosure, kHistogram };
+    Reader() = default;
+    explicit Reader(const std::uint64_t* p) : source(Source::kCounter), counter(p) {}
+    explicit Reader(const double* p) : source(Source::kGauge), gauge(p) {}
+    explicit Reader(const std::function<double()>* p) : source(Source::kClosure), closure(p) {}
+    explicit Reader(const stats::Histogram* p) : source(Source::kHistogram), hist(p) {}
 
-  // Key = name + '\0' + rendered labels: lexicographic map order == sort by
-  // (name, labels), and all label sets of one name stay contiguous.
-  std::map<std::string, Entry> entries_;
+    Source source = Source::kCounter;
+    union {
+      const std::uint64_t* counter = nullptr;
+      const double* gauge;
+      const std::function<double()>* closure;
+      const stats::Histogram* hist;
+    };
+  };
+
+  static std::string name_prefix(std::string_view name);
+  static std::string key_of(std::string_view name, const Labels& labels);
+  /// Id of (name, labels), registering an entry when absent (`inserted`
+  /// says which; the caller then binds its reader). An existing entry must
+  /// have the same kind.
+  std::size_t emplace(std::string name, Labels labels, MetricKind kind, bool& inserted);
+  /// The owned instrument behind `id`, created on first request.
+  template <typename T>
+  T& owned(std::string name, Labels labels, MetricKind kind, std::deque<T>& store);
+  /// Id of a new view entry (its reader still to bind); duplicates are a
+  /// contract violation.
+  std::size_t expose(std::string name, Labels labels, MetricKind kind);
+  std::string describe(std::size_t id) const;
+
+  // Key index: name + '\0' + rendered labels -> entry. Lexicographic key
+  // order == sort by (name, labels), and all label sets of one name stay
+  // contiguous. Entries live in its nodes, so a sorted walk reads identity
+  // where it already is.
+  std::map<std::string, Entry> index_;
+  std::vector<Entry*> by_id_;  // into index_'s nodes
+  std::vector<Reader> readers_;  // parallel to by_id_
+  // Owned storage and exposed closures; deques keep addresses stable for
+  // the readers and the references handed out.
+  std::deque<Counter> counters_;
+  std::deque<Gauge> gauges_;
+  std::deque<stats::Histogram> histograms_;
+  std::deque<std::function<double()>> closures_;
 };
 
 }  // namespace sdmbox::obs

@@ -12,23 +12,10 @@ EpochRecorder::EpochRecorder(const MetricsRegistry& registry, double period)
 void EpochRecorder::sample(double now) {
   SDM_CHECK_MSG(epochs_.empty() || now >= epochs_.back(),
                 "epoch snapshots must move forward in time");
+  Row row{registry_.size(), std::make_unique_for_overwrite<double[]>(registry_.size())};
+  registry_.read_scalars(row.values.get());
+  rows_.push_back(std::move(row));
   epochs_.push_back(now);
-  for (MetricSample& s : registry_.collect()) {
-    std::string key = s.name;
-    key += '\0';
-    key += s.labels.render();
-    auto [it, inserted] = series_.try_emplace(std::move(key));
-    Series& series = it->second;
-    if (inserted) {
-      series.name = std::move(s.name);
-      series.labels = std::move(s.labels);
-      series.kind = s.kind;
-    }
-    // Metrics registered after earlier epochs: left-pad with zeros so the
-    // series stays aligned with epochs().
-    series.values.resize(epochs_.size() - 1, 0.0);
-    series.values.push_back(s.value);
-  }
 }
 
 void EpochRecorder::start(ScheduleIn schedule, Clock clock) {
@@ -46,39 +33,41 @@ void EpochRecorder::tick() {
   schedule_(period_, [this] { tick(); });
 }
 
-const EpochRecorder::Series* EpochRecorder::find(std::string_view name,
-                                                 const Labels& labels) const {
-  std::string key{name};
-  key += '\0';
-  key += labels.render();
-  const auto it = series_.find(key);
-  return it == series_.end() ? nullptr : &it->second;
+std::vector<double> EpochRecorder::SeriesView::values() const {
+  std::vector<double> out(rec_->epochs_.size());
+  rec_->read_column(id_, out.data());
+  return out;
 }
 
-std::vector<const EpochRecorder::Series*> EpochRecorder::find_all(std::string_view name) const {
-  std::vector<const Series*> out;
-  std::string prefix{name};
-  prefix += '\0';
-  for (auto it = series_.lower_bound(prefix); it != series_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(&it->second);
-  }
+std::optional<EpochRecorder::SeriesView> EpochRecorder::find(std::string_view name,
+                                                             const Labels& labels) const {
+  const std::optional<std::size_t> id = registry_.find(name, labels);
+  if (!id || *id >= width()) return std::nullopt;
+  return SeriesView(*this, *id);
+}
+
+std::vector<EpochRecorder::SeriesView> EpochRecorder::find_all(std::string_view name) const {
+  std::vector<SeriesView> out;
+  registry_.for_each_named(name, [&](std::size_t id) {
+    if (id < width()) out.emplace_back(*this, id);
+  });
   return out;
 }
 
 std::optional<double> EpochRecorder::latest(std::string_view name, const Labels& labels) const {
-  const Series* s = find(name, labels);
-  if (s == nullptr || s->values.empty()) return std::nullopt;
-  return s->values.back();
+  const std::optional<SeriesView> s = find(name, labels);
+  if (!s) return std::nullopt;
+  return s->latest();
 }
 
 std::vector<EpochRecorder::Series> EpochRecorder::series() const {
   std::vector<Series> out;
-  out.reserve(series_.size());
-  for (const auto& [key, s] : series_) {
-    out.push_back(s);
-    out.back().values.resize(epochs_.size(), 0.0);
-  }
+  out.reserve(width());
+  registry_.for_each_sorted([&](std::size_t id) {
+    if (id >= width()) return;
+    const SeriesView view(*this, id);
+    out.push_back({view.name(), view.labels(), view.kind(), view.values()});
+  });
   return out;
 }
 

@@ -452,7 +452,7 @@ TEST(Epochs, AccessorsOnEmptyRecorder) {
   EpochRecorder rec(reg, 0.5);
   // Nothing sampled yet: every accessor answers "unknown", never throws.
   EXPECT_EQ(rec.epoch_count(), 0u);
-  EXPECT_EQ(rec.find("pkts", {}), nullptr);
+  EXPECT_EQ(rec.find("pkts", {}), std::nullopt);
   EXPECT_TRUE(rec.find_all("pkts").empty());
   EXPECT_EQ(rec.latest("pkts", {}), std::nullopt);
   EXPECT_EQ(rec.latest("absent", {}), std::nullopt);
@@ -467,15 +467,15 @@ TEST(Epochs, AccessorsForSeriesCreatedMidRun) {
   // A series registered between samples is visible to find()/latest() as
   // soon as the next sample records it — left-padded to stay aligned.
   reg.counter("late", Labels{{"device", "p0"}}).inc(9);
-  EXPECT_EQ(rec.find("late", Labels{{"device", "p0"}}), nullptr);
+  EXPECT_EQ(rec.find("late", Labels{{"device", "p0"}}), std::nullopt);
   rec.sample(1.0);
-  const auto* late = rec.find("late", Labels{{"device", "p0"}});
-  ASSERT_NE(late, nullptr);
-  EXPECT_EQ(late->values, (std::vector<double>{0, 9}));
+  const auto late = rec.find("late", Labels{{"device", "p0"}});
+  ASSERT_NE(late, std::nullopt);
+  EXPECT_EQ(late->values(), (std::vector<double>{0, 9}));
   EXPECT_EQ(rec.latest("late", Labels{{"device", "p0"}}), 9.0);
   EXPECT_EQ(rec.latest("early", {}), 2.0);
   ASSERT_EQ(rec.find_all("late").size(), 1u);
-  EXPECT_EQ(rec.find_all("late")[0]->labels.render(), "{device=\"p0\"}");
+  EXPECT_EQ(rec.find_all("late")[0].labels().render(), "{device=\"p0\"}");
 }
 
 TEST(Epochs, RecorderUseAcrossSimulatorReset) {
@@ -511,8 +511,8 @@ TEST(Epochs, RecorderUseAcrossSimulatorReset) {
   sim.run();
   EXPECT_GE(rec2.epoch_count(), 2u);
   EXPECT_EQ(rec2.latest("pkts", {}), 7.0);
-  ASSERT_NE(rec2.find("pkts", {}), nullptr);
-  EXPECT_EQ(rec2.find("pkts", {})->values.size(), rec2.epoch_count());
+  ASSERT_NE(rec2.find("pkts", {}), std::nullopt);
+  EXPECT_EQ(rec2.find("pkts", {})->values().size(), rec2.epoch_count());
 }
 
 }  // namespace
